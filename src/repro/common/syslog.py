@@ -21,7 +21,6 @@ from repro.obs.events import (
     DetectionEvent,
     EventLog,
     JournalCommitEvent,
-    LogEvent,
     PolicyActionEvent,
     RecoveryEvent,
     Severity,
@@ -150,10 +149,6 @@ class SysLog:
 
     def find(self, event: str) -> Iterator[LogRecord]:
         return (r for r in self.records if r.event == event)
-
-    def clear(self) -> None:
-        """Drop the log-renderable events (other layers' events stay)."""
-        self.events_log.remove_where(lambda e: isinstance(e, LogEvent))
 
     def __len__(self) -> int:
         return len(self.events_log.log_events())

@@ -24,7 +24,6 @@ from repro.disk.injector import FaultInjector
 from repro.disk.recorder import WriteRecorder
 from repro.disk.scrub import ScrubReport, Scrubber
 from repro.disk.stack import DeviceStack
-from repro.disk.trace import IOTrace, TraceEntry
 
 __all__ = [
     "BlockCache",
@@ -37,14 +36,12 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultOp",
-    "IOTrace",
     "Persistence",
     "ScrubReport",
     "Scrubber",
     "SimulatedDisk",
     "SlabImage",
     "Snapshot",
-    "TraceEntry",
     "WriteRecorder",
     "corruption",
     "make_disk",

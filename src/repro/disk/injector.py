@@ -23,8 +23,7 @@ from typing import Callable, List, Optional
 from repro.common.errors import ReadError, WriteError
 from repro.disk.disk import BlockDevice
 from repro.disk.faults import Fault, FaultKind
-from repro.disk.trace import IOTrace
-from repro.obs.events import EventLog, FaultArmedEvent
+from repro.obs.events import EventLog, FaultArmedEvent, IOEvent
 
 TypeOracle = Callable[[int], Optional[str]]
 
@@ -34,9 +33,9 @@ class FaultInjector:
 
     Also records the low-level I/O trace — the third observable of the
     fingerprinting methodology.  Every request becomes a typed
-    :class:`~repro.obs.events.IOEvent` in the stack's shared event log
-    (``self.events``); :attr:`trace` is the historical query view over
-    that stream.
+    :class:`~repro.obs.events.IOEvent` in the stream the injector is
+    given (``events``), else in the lower device's stream, else nowhere
+    (an array member's injector has no stream).
     """
 
     def __init__(
@@ -50,22 +49,20 @@ class FaultInjector:
         self.faults: List[Fault] = []
         if events is None:
             events = getattr(lower, "events", None)
-        if events is None:
-            events = EventLog()
-        self.events = events
-        self.trace = IOTrace(events)
+        self.events: Optional[EventLog] = events
 
     # -- configuration ------------------------------------------------------
 
     def arm(self, fault: Fault) -> Fault:
         """Arm a fault; returns it for later inspection."""
         self.faults.append(fault)
-        self.events.emit(FaultArmedEvent(
-            op=fault.op.value,
-            fault_kind=fault.kind.value,
-            block=fault.block,
-            block_type=fault.block_type,
-        ))
+        if self.events is not None:
+            self.events.emit(FaultArmedEvent(
+                op=fault.op.value,
+                fault_kind=fault.kind.value,
+                block=fault.block,
+                block_type=fault.block_type,
+            ))
         return fault
 
     def disarm(self, fault: Fault) -> None:
@@ -94,34 +91,42 @@ class FaultInjector:
 
     def read_block(self, block: int) -> bytes:
         btype = self.block_type_of(block)
+        events = self.events
         fault = self._match("read", block, btype)
         if fault is not None and fault.consume(block):
             if fault.kind is FaultKind.FAIL:
-                self.trace.record("read", block, "error", btype)
+                if events is not None:
+                    events.emit(IOEvent("read", block, "error", btype))
                 raise ReadError(block, f"injected: {fault.describe()}")
             data = self.lower.read_block(block)
             bad = fault.corrupt(data, btype)
-            self.trace.record("read", block, "corrupted", btype)
+            if events is not None:
+                events.emit(IOEvent("read", block, "corrupted", btype))
             return bad
         data = self.lower.read_block(block)
-        self.trace.record("read", block, "ok", btype)
+        if events is not None:
+            events.emit(IOEvent("read", block, "ok", btype))
         return data
 
     def write_block(self, block: int, data: bytes) -> None:
         btype = self.block_type_of(block)
+        events = self.events
         fault = self._match("write", block, btype)
         if fault is not None and fault.consume(block):
             if fault.kind is FaultKind.FAIL:
                 # The operation never reaches the medium.
-                self.trace.record("write", block, "error", btype)
+                if events is not None:
+                    events.emit(IOEvent("write", block, "error", btype))
                 raise WriteError(block, f"injected: {fault.describe()}")
             # Corrupt-on-write: store altered data but report success
             # (a misdirected/phantom-style firmware fault).
-            self.trace.record("write", block, "corrupted", btype)
+            if events is not None:
+                events.emit(IOEvent("write", block, "corrupted", btype))
             self.lower.write_block(block, fault.corrupt(data, btype))
             return
         self.lower.write_block(block, data)
-        self.trace.record("write", block, "ok", btype)
+        if events is not None:
+            events.emit(IOEvent("write", block, "ok", btype))
 
     # -- uniform stack lifecycle ------------------------------------------------
 
@@ -132,10 +137,10 @@ class FaultInjector:
         return self.lower.snapshot()
 
     def restore(self, snapshot) -> None:
-        """Rewind the device and drop the observed I/O history.  Armed
-        faults are configuration, not device state — they stay armed."""
+        """Rewind the device.  Armed faults are configuration, not device
+        state — they stay armed.  The I/O history lives in the stream,
+        which its owner (:meth:`DeviceStack.restore`) clears."""
         self.lower.restore(snapshot)
-        self.trace.clear()
 
     # -- passthroughs to the raw disk (when present) ---------------------------
 
@@ -163,4 +168,4 @@ class FaultInjector:
         return None
 
     def __repr__(self) -> str:
-        return f"FaultInjector(faults={len(self.faults)}, trace={len(self.trace)} entries)"
+        return f"FaultInjector(faults={len(self.faults)})"

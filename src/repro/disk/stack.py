@@ -7,8 +7,8 @@ composes the layers in canonical order, shares a single typed
 :class:`~repro.obs.events.EventLog` across them, and exposes the
 uniform ``BlockDevice`` lifecycle — ``flush()``, ``snapshot()`` /
 ``restore()``, ``stats`` — propagated correctly through every layer
-(the cache invalidates its LRU on restore, the injector drops its I/O
-history, CoW snapshots alias in O(1) regardless of stacking order).
+(the cache invalidates its LRU on restore, the stack clears the event
+stream it owns, CoW snapshots alias in O(1) regardless of stacking order).
 
 A ``DeviceStack`` is itself a ``BlockDevice``: mount a file system
 directly on it and the FS joins the stack's event stream, so injected
@@ -165,10 +165,11 @@ class DeviceStack:
 
     def restore(self, snapshot) -> None:
         """Rewind the whole stack: each layer restores its lower layer
-        and invalidates its own state (cache LRU, I/O history).  The
-        shared event stream drops its history too — and with it the
-        high-water mark — so a consumer's next ``consume_new()`` never
-        replays pre-restore events as if the rewound run emitted them."""
+        and invalidates its own state (the cache's LRU).  The shared
+        event stream — the I/O trace included — drops its history too,
+        and with it the high-water mark, so a consumer's next
+        ``consume_new()`` never replays pre-restore events as if the
+        rewound run emitted them."""
         self.top.restore(snapshot)
         self.events.clear()
 

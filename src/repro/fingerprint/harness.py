@@ -441,7 +441,6 @@ class Fingerprinter:
         return RunObservation(
             results=recorder.results,
             events=list(stack.events),
-            trace=stack.injector.trace,
             panic=panic,
             fault_fired=fired,
             fault_block=fault_block,

@@ -11,8 +11,8 @@ performs this comparison by hand; we mechanize it.
 The retry, redundancy, and remap inferences are derived from the
 structured events (request counts per block, typed reads of redundant
 locations, explicit remap recovery events) — not from syslog string
-matching.  Legacy callers may still pass plain tag strings and an
-``IOTrace``; they are coerced into typed events on construction.
+matching.  Legacy callers may still pass plain tag strings; they are
+coerced into typed events on construction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.disk.faults import Fault, FaultKind, FaultOp
-from repro.disk.trace import IOTrace
 from repro.fingerprint.workloads import OpResult
 from repro.obs.events import (
     DetectionEvent,
@@ -55,13 +54,11 @@ class RunObservation:
     :class:`StorageEvent`\\ s covering device-boundary I/O and FS policy
     behaviour.  Plain strings are accepted for convenience (tests,
     hand-built observations) and coerced via the central tag
-    classifier; an ``IOTrace`` may be passed separately, in which case
-    its entries are folded in as typed I/O events.
+    classifier.
     """
 
     results: List[OpResult]
     events: List[Union[StorageEvent, str]]
-    trace: Optional[IOTrace] = None
     panic: Optional[str] = None
     fault_fired: int = 0
     fault_block: Optional[int] = None
@@ -81,11 +78,6 @@ class RunObservation:
                 typed.append(e)
             else:
                 typed.append(classify_log(Severity.INFO, "run", e, e))
-        if self.trace is not None and not any(isinstance(e, IOEvent) for e in typed):
-            typed.extend(
-                IOEvent(t.op, t.block, t.outcome, t.block_type)
-                for t in self.trace.entries
-            )
         self.typed_events = typed
 
     # -- typed accessors used by inference --------------------------------

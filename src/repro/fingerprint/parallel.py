@@ -18,18 +18,13 @@ through the task pickle stream either — the parent builds each
 distinct golden once, publishes its slab in shared memory, and workers
 attach the same physical pages zero-copy
 (:func:`repro.common.pool.attach_image`).
-
-:func:`pool_map` — submission-order merge over the persistent pool,
-with streaming bounded submission and optional chunking — lives in
-:mod:`repro.common.pool` and is re-exported here for its existing
-consumers (the crash engine, the capture driver).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.common.pool import (  # noqa: F401  (pool_map re-exported)
+from repro.common.pool import (
     SharedSnapshot,
     attach_snapshot,
     begin_run,

@@ -3,9 +3,9 @@
 Every layer of the storage stack — the fault injector at the device
 boundary, the VFS buffer layer, the journal framing, and each file
 system's policy code — reports through :class:`StorageEvent` records
-appended to a shared :class:`EventLog`.  ``SysLog`` and ``IOTrace``
-are rendering views over this stream; policy inference matches the
-structured events directly.
+appended to a shared :class:`EventLog`.  The I/O trace is the stream's
+:class:`IOEvent`\\ s and ``SysLog`` is a rendering view over it; policy
+inference matches the structured events directly.
 
 :mod:`repro.obs.trace` layers hierarchical spans over the same stream
 (run → workload → VFS op → journal transaction → block I/O) and exports

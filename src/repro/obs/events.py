@@ -3,7 +3,7 @@
 The fingerprinting methodology (§4.3) infers failure policy from three
 observables — API results, the system log, and the I/O trace at the
 device boundary.  Historically each lived in its own shape (free-text
-``SysLog`` strings, ``IOTrace`` entries, ad-hoc state checks); this
+``SysLog`` strings, I/O trace entries, ad-hoc state checks); this
 module unifies them as one ordered stream of :class:`StorageEvent`
 records that the fault injector, the VFS buffer layer, the journal
 framing, and every file system's policy code emit into a shared
@@ -14,8 +14,9 @@ Design constraints:
 * **Replayable** — events are frozen dataclasses of primitives, so a
   stream pickles across process-pool workers and hashes to a stable
   digest (``jobs=N`` determinism checks compare these digests).
-* **View-compatible** — ``SysLog`` and ``IOTrace`` are re-implemented
-  as rendering views over an ``EventLog``, so string-based consumers
+* **One record** — the I/O trace *is* the :class:`IOEvent`\\ s in the
+  stream (query them with :meth:`EventLog.io_events`); ``SysLog`` is a
+  rendering view over the same ``EventLog``, so string-based consumers
   keep working while inference matches structured events.
 
 Event kinds:
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Iterator, List, Optional, Tuple, Type
+from typing import ClassVar, Iterator, List, Optional, Tuple, Type
 
 
 class Severity(enum.IntEnum):
@@ -361,7 +362,7 @@ class EventLog:
         self._events: List[StorageEvent] = list(events) if events else []
         #: Index of the first event *not yet consumed* by an incremental
         #: reader (the crash recorder).  ``consume_new()`` advances it;
-        #: ``clear()`` and ``reset_high_water()`` rewind it.
+        #: ``clear()`` and ``drain()`` rewind it.
         self.high_water: int = 0
         #: Ring-mode capacity: when set, :meth:`emit` evicts the oldest
         #: events past this bound (long crash sweeps opt in to cap
@@ -413,10 +414,6 @@ class EventLog:
 
     # -- incremental consumption ---------------------------------------------
 
-    def since(self, mark: int) -> List[StorageEvent]:
-        """Events appended at or after index *mark* (no state change)."""
-        return self._events[mark:]
-
     def consume_new(self) -> List[StorageEvent]:
         """Return events appended since the last call and advance the
         high-water mark past them."""
@@ -441,15 +438,6 @@ class EventLog:
         self.high_water = 0
         return new
 
-    def reset_high_water(self, mark: int = 0) -> None:
-        """Rewind the incremental-consumption mark (clamped to the log).
-
-        :meth:`repro.disk.stack.DeviceStack.restore` calls this so a
-        restored stack does not hand stale pre-snapshot events to the
-        crash recorder as if they were new.
-        """
-        self.high_water = max(0, min(mark, len(self._events)))
-
     # -- mutation ------------------------------------------------------------
 
     def clear(self) -> None:
@@ -457,10 +445,6 @@ class EventLog:
         self.high_water = 0
         self.dropped = 0
         self.released = 0
-
-    def remove_where(self, predicate: Callable[[StorageEvent], bool]) -> None:
-        self._events[:] = [e for e in self._events if not predicate(e)]
-        self.high_water = min(self.high_water, len(self._events))
 
     # -- digests -------------------------------------------------------------
 

@@ -64,21 +64,17 @@ from repro.redundancy.rdp import RDPStripe, _xor
 class ArrayMember:
     """One member sub-stack: a raw disk under its own fault injector.
 
-    The member keeps a private event log for its boundary I/O trace
-    (the injector's :class:`~repro.obs.events.IOEvent` stream); the
-    array's *logical* events — detections, recoveries, policy actions
-    — go to the array's shared stream instead, so the stream a mounted
-    file system joins tells the logical story.
+    The member injector has no event stream, so member-level requests
+    are not recorded; the array's *logical* events — detections,
+    recoveries, policy actions — go to the array's shared stream, so the
+    stream a mounted file system joins tells the logical story.
     """
 
     def __init__(self, index: int, num_blocks: int, block_size: int,
-                 timing: Optional[dict] = None,
-                 member_log_events: Optional[int] = 4096):
+                 timing: Optional[dict] = None):
         self.index = index
-        self.events = EventLog(max_events=member_log_events)
         self.disk = make_disk(num_blocks, block_size, **(timing or {}))
-        self.disk.events = self.events
-        self.injector = FaultInjector(self.disk, events=self.events)
+        self.injector = FaultInjector(self.disk)
         #: The top of the member sub-stack — what the array issues I/O to.
         self.device = self.injector
 
@@ -86,7 +82,6 @@ class ArrayMember:
         """Swap in a blank disk of the same geometry (a spare)."""
         old = self.disk
         self.disk = SimulatedDisk(old.geometry)
-        self.disk.events = self.events
         self.disk.latency_observer = old.latency_observer
         self.injector.lower = self.disk
 

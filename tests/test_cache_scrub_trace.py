@@ -1,4 +1,4 @@
-"""Units for the block cache, the scrubber, and the I/O trace."""
+"""Units for the block cache and the scrubber."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.disk import (
     FaultInjector,
     FaultKind,
     FaultOp,
-    IOTrace,
     Scrubber,
     make_disk,
 )
@@ -159,31 +158,3 @@ class TestScrubber:
         _, injector = self._decayed_disk()
         text = Scrubber(injector).scrub().render()
         assert "3 latent errors" in text
-
-
-class TestIOTrace:
-    def test_queries(self):
-        t = IOTrace()
-        t.record("read", 5, "ok", "inode")
-        t.record("read", 5, "ok", "inode")
-        t.record("write", 6, "error", "data")
-        assert t.reads_of(5) == 2
-        assert t.writes_of(6) == 1
-        assert t.retry_count(5, "read") == 1
-        assert t.retry_count(6, "write") == 0
-        assert [e.block for e in t.errors()] == [6]
-        assert t.blocks_read() == [5, 5]
-        assert t.blocks_written() == [6]
-
-    def test_render_limit(self):
-        t = IOTrace()
-        for i in range(10):
-            t.record("read", i, "ok")
-        text = t.render(limit=3)
-        assert "7 more" in text
-
-    def test_clear(self):
-        t = IOTrace()
-        t.record("read", 1, "ok")
-        t.clear()
-        assert len(t) == 0

@@ -128,9 +128,10 @@ class TestSysLog:
         assert "CRITICAL" in text and "jfs" in text and "block=3" in text
 
     def test_clear(self):
+        """The view is live: clearing its stream empties it."""
         log = SysLog()
         log.warning("x", "y", "z")
-        log.clear()
+        log.events_log.clear()
         assert len(log) == 0
         assert log.events() == []
 

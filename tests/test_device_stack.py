@@ -19,7 +19,13 @@ from repro.disk import (
 from repro.common.errors import ReadError
 from repro.disk.recorder import WriteRecorder
 from repro.fs.ext3 import Ext3, mkfs_ext3
-from repro.obs.events import EventLog, FaultArmedEvent, IOEvent, WriteImageEvent
+from repro.obs.events import (
+    ArrayRecoveryEvent,
+    EventLog,
+    FaultArmedEvent,
+    IOEvent,
+    WriteImageEvent,
+)
 
 from tests.conftest import EXT3_CFG
 
@@ -120,6 +126,28 @@ class TestEventSharing:
         failed = stack.events.io_events()[-1]
         assert (failed.op, failed.block, failed.outcome) == ("read", 4, "error")
 
+    def test_array_members_record_no_io(self):
+        """Member injectors have no stream: the stack's stream holds one
+        IOEvent per logical request, and an armed member fault still
+        fires and is reconstructed."""
+        stack = DeviceStack.build(BLOCKS, BS, inject=True, array="mirror", members=2)
+        array = stack.disk
+        for block in range(4):
+            stack.write_block(block, payload(block))
+        m, mb = array._locate(2)
+        fault = array.members[m].injector.arm(read_fail_at(mb))
+        assert stack.read_block(2) == payload(2)
+        assert fault._fired == 1
+        assert all(member.injector.events is None for member in array.members)
+        assert [(e.op, e.block, e.outcome) for e in stack.events.io_events()] == [
+            ("write", 0, "ok"), ("write", 1, "ok"), ("write", 2, "ok"),
+            ("write", 3, "ok"), ("read", 2, "ok"),
+        ]
+        assert stack.events.of_type(FaultArmedEvent) == []
+        recoveries = stack.events.of_type(ArrayRecoveryEvent)
+        assert [(e.tag, e.member) for e in recoveries] == [
+            ("degraded-read", m), ("read-repair", m)]
+
 
 class TestLifecycle:
     @pytest.mark.parametrize("kwargs", [
@@ -166,7 +194,7 @@ class TestLifecycle:
         stack.write_block(1, payload(1))
         stack.injector.arm(read_fail_at(1))
         stack.restore(snap)
-        assert len(stack.injector.trace) == 0
+        assert stack.events.io_events() == []
         assert len(stack.injector.faults) == 1  # configuration survives
         with pytest.raises(ReadError):
             stack.read_block(1)
@@ -251,16 +279,6 @@ class TestRecorderAndHighWater:
             if isinstance(e, WriteImageEvent)
         ]
         assert 9 not in blocks
-
-    def test_remove_where_clamps_the_mark(self):
-        log = EventLog()
-        log.emit(IOEvent(op="write", block=1, outcome="ok"))
-        log.emit(IOEvent(op="write", block=2, outcome="ok"))
-        log.consume_new()
-        log.remove_where(lambda e: True)
-        assert log.high_water == 0
-        log.emit(IOEvent(op="write", block=3, outcome="ok"))
-        assert [e.block for e in log.consume_new()] == [3]
 
 
 class TestIntrospection:

@@ -83,14 +83,15 @@ class TestWriteFailuresIgnored:
         fs.mkdir("/fresh")  # succeeds despite the lost write
         assert not fs.read_only
         assert not fs.syslog.has_event("write-error")
-        assert [e for e in injector.trace.errors() if e.op == "write"]
+        assert [e for e in injector.events.io_events()
+                if e.op == "write" and e.outcome == "error"]
 
     def test_failed_journal_write_still_commits(self, prepared):
         """A failed j-data write does not stop the commit block (§5.1)."""
         _, injector, fs = prepared
         injector.arm(write_failure("j-data"))
         fs.mkdir("/doomed")
-        jtypes = [e.block_type for e in injector.trace
+        jtypes = [e.block_type for e in injector.events.io_events()
                   if e.op == "write" and e.outcome == "ok"]
         assert "j-commit" in jtypes
 

@@ -14,13 +14,14 @@ from repro.disk import (
     Persistence,
     make_disk,
 )
+from repro.obs.events import EventLog
 
 
 def build():
     disk = make_disk(32, 512)
     for i in range(32):
         disk.write_block(i, bytes([i]) * 512)
-    return disk, FaultInjector(disk, type_oracle=lambda b: f"t{b % 3}")
+    return disk, FaultInjector(disk, type_oracle=lambda b: f"t{b % 3}", events=EventLog())
 
 
 class TestStacking:
@@ -103,8 +104,28 @@ class TestOracleDynamics:
         disk, inj = build()
         inj.read_block(0)
         inj.write_block(1, b"\x00" * 512)
-        assert inj.trace.entries[0].block_type == "t0"
-        assert inj.trace.entries[1].block_type == "t1"
+        io = inj.events.io_events()
+        assert io[0].block_type == "t0"
+        assert io[1].block_type == "t1"
+
+
+class TestNoStream:
+    def test_bare_injector_fires_faults_and_records_nothing(self, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(EventLog, "emit", lambda log, e: emitted.append(e))
+        disk = make_disk(8, 512)
+        inj = FaultInjector(disk)
+        assert inj.events is None
+        fault = inj.arm(Fault(op=FaultOp.READ, kind=FaultKind.FAIL, block=3))
+        with pytest.raises(ReadError):
+            inj.read_block(3)
+        inj.arm(Fault(op=FaultOp.WRITE, kind=FaultKind.CORRUPT, block=4,
+                      corruption=CorruptionMode.ZERO))
+        inj.write_block(4, b"\xaa" * 512)
+        inj.read_block(5)
+        assert fault._fired == 1
+        assert disk.peek(4) == b"\x00" * 512
+        assert emitted == []
 
 
 class TestTransientSemantics:

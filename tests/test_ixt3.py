@@ -28,6 +28,7 @@ from repro.fs.ixt3 import (
     ixt3_config,
     mkfs_ixt3,
 )
+from repro.obs.events import EventLog
 
 from conftest import IXT3_BASE, IXT3_CFG, make_ixt3
 
@@ -43,7 +44,7 @@ def fresh(features=ALL_FEATURES, populate=True):
         fs.write_file("/d/big", bytes((i * 7) % 256 for i in range(24 * bs)))
         fs.write_file("/plain", b"iron file contents")
     fs.unmount()
-    injector = FaultInjector(disk)
+    injector = FaultInjector(disk, events=EventLog())
     fs2 = Ixt3(injector)
     fs2.mount()
     injector.set_type_oracle(fs2.block_type)
@@ -70,8 +71,8 @@ class TestMetadataReplication:
         injector.arm(read_failure("inode"))
         assert fs.stat("/plain").size == 18
         assert fs.syslog.has_event("redundancy-used")
-        replica_reads = [e for e in injector.trace
-                        if e.is_read() and e.block_type == "replica"]
+        replica_reads = [e for e in injector.events.io_events()
+                         if e.is_read() and e.block_type == "replica"]
         assert replica_reads
 
     @pytest.mark.parametrize("btype", ["inode", "dir", "indirect"])
@@ -246,7 +247,7 @@ class TestWriteFailurePolicy:
             fs.write_file("/victim", b"v" * 4096)
         except FSError:
             pass
-        committed = [e for e in injector.trace
+        committed = [e for e in injector.events.io_events()
                      if e.op == "write" and e.outcome == "ok"
                      and e.block_type == "j-commit"]
         assert not committed

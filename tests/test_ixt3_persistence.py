@@ -80,7 +80,7 @@ class TestAcrossCrash:
         injector.arm(read_failure("data"))
         assert fs2.read_file("/cd/f") == b"crashy " * 200
         injector.clear_faults()
-        fs2.syslog.clear()
+        fs2.events.clear()
         injector.arm(corruption("inode"))
         assert fs2.stat("/cd/f").size == 1400
         assert fs2.syslog.has_event("checksum-mismatch")

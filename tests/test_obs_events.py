@@ -100,17 +100,6 @@ class TestEventLog:
         assert log.log_events() == [det]  # commits are not log lines
         assert log.of_type(JournalCommitEvent) == [commit]
 
-    def test_remove_where_keeps_order(self):
-        log = EventLog()
-        for block in range(4):
-            log.emit(IOEvent("read", block, "ok"))
-        log.emit(PolicyActionEvent(Severity.ERROR, "s", "remount-ro", "m"))
-        log.remove_where(lambda e: isinstance(e, IOEvent) and e.block % 2 == 0)
-        assert [e.key()[0:3] for e in log] == [
-            ("io", "read", 1), ("io", "read", 3),
-            ("policy-action", Severity.ERROR, "s"),
-        ]
-
     def test_digest_tracks_content_and_order(self):
         one, two = EventLog(), EventLog()
         for log in (one, two):
@@ -165,15 +154,6 @@ class TestSysLogView:
         assert len(log) == 1
         assert log.events() == ["read-error"]
         assert "journal" not in log.render()
-
-    def test_clear_spares_other_layers_events(self):
-        shared = EventLog()
-        shared.emit(IOEvent("read", 1, "ok"))
-        log = SysLog(shared)
-        log.error("ext3", "read-error", "m")
-        log.clear()
-        assert len(log) == 0
-        assert [e.kind for e in shared] == ["io"]  # injector history survives
 
     def test_queries(self):
         log = SysLog()
