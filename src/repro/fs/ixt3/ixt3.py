@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.common.errors import CorruptionDetected, DiskError, Errno, FSError
+from repro.common.xor import xor_bytes
 from repro.fs.ext3.ext3 import Ext3, _static_types_ext3
 from repro.fs.ext3.structures import (
     FEAT_DATA_CSUM,
@@ -284,16 +285,13 @@ class Ixt3(Ext3):
     def _reconstruct_from_parity(self, inode: Inode, skip_block: int) -> Optional[bytes]:
         """XOR the parity block with every other data block of the file."""
         bs = self.block_size
-        acc = bytearray(bs)
         try:
-            parity = self._plain_bread(inode.parity_block)
+            acc = self._plain_bread(inode.parity_block)
         except DiskError as exc:
             self.syslog.detection(self.name, "read-error",
                                   f"parity read failed: {exc}",
                                   mechanism="error-code", block=inode.parity_block)
             return None
-        for i in range(bs):
-            acc[i] ^= parity[i]
         nblocks = (inode.size + bs - 1) // bs
         for fb in range(nblocks):
             try:
@@ -307,8 +305,7 @@ class Ixt3(Ext3):
             except DiskError:
                 # Parity tolerates exactly one lost block per file.
                 return None
-            for i in range(bs):
-                acc[i] ^= data[i]
+            acc = xor_bytes(acc, data)
         return bytes(acc)
 
     # ==================================================================
@@ -341,16 +338,14 @@ class Ixt3(Ext3):
             except DiskError:
                 old = b"\x00" * bs
         try:
-            parity = bytearray(self._plain_bread(inode.parity_block))
+            parity = self._plain_bread(inode.parity_block)
         except DiskError as exc:
             self.syslog.detection(self.name, "read-error",
                                   f"parity read failed during update: {exc}",
                                   mechanism="error-code", block=inode.parity_block)
             self._abort_journal()
             raise FSError(Errno.EIO, "cannot update parity") from exc
-        for i in range(bs):
-            parity[i] ^= old[i] ^ new_payload[i]
-        frozen = bytes(parity)
+        frozen = xor_bytes(parity, xor_bytes(old, new_payload))
         # Parity goes out with the ordered data writes; the elevator
         # batches all parity updates of a transaction into one pass.
         self.journal.add_ordered(inode.parity_block, frozen)
@@ -368,7 +363,7 @@ class Ixt3(Ext3):
         # Parity covers the remaining blocks; recompute it.
         if self.data_parity and inode.parity_block and kind == "data":
             bs = self.block_size
-            acc = bytearray(bs)
+            acc = bytes(bs)
             nblocks = (new_size + bs - 1) // bs
             intact = True
             for fb in range(nblocks):
@@ -380,12 +375,10 @@ class Ixt3(Ext3):
                 except DiskError:
                     intact = False
                     break
-                for i in range(bs):
-                    acc[i] ^= data[i]
+                acc = xor_bytes(acc, data)
             if intact:
-                frozen = bytes(acc)
-                self.journal.add_ordered(inode.parity_block, frozen)
-                self._on_block_contents_change(inode.parity_block, frozen, "data")
+                self.journal.add_ordered(inode.parity_block, acc)
+                self._on_block_contents_change(inode.parity_block, acc, "data")
 
     # ==================================================================
     # Eager detection: in-file-system scrubbing (§3.2)
@@ -464,7 +457,7 @@ class Ixt3(Ext3):
             if not inode.is_allocated or inode.parity_block != block:
                 continue
             bs = self.block_size
-            acc = bytearray(bs)
+            acc = bytes(bs)
             for fb in range((inode.size + bs - 1) // bs):
                 try:
                     bno, _ = self._bmap(inode, fb, allocate=False)
@@ -473,12 +466,10 @@ class Ixt3(Ext3):
                     data = self._plain_bread(bno)
                 except (FSError, DiskError):
                     return None  # cannot rebuild with a second failure
-                for i in range(bs):
-                    acc[i] ^= data[i]
-            frozen = bytes(acc)
-            self.journal.add_ordered(block, frozen)
-            self._on_block_contents_change(block, frozen, "data")
-            return frozen
+                acc = xor_bytes(acc, data)
+            self.journal.add_ordered(block, acc)
+            self._on_block_contents_change(block, acc, "data")
+            return acc
         return None
 
     def _owner_of(self, block: int):

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import OutOfRangeError, ReadError, WriteError
+from repro.common.xor import xor_bytes
 from repro.disk.disk import DiskStats, SimulatedDisk, SlabImage, make_disk
 from repro.disk.geometry import DiskGeometry
 from repro.disk.injector import FaultInjector
@@ -58,7 +59,7 @@ from repro.obs.events import (
     Severity,
     StorageEvent,
 )
-from repro.redundancy.rdp import RDPStripe, _xor
+from repro.redundancy.rdp import RDPStripe
 
 
 class ArrayMember:
@@ -947,7 +948,7 @@ class StripeParityDevice(ArrayDevice):
             if data is None:
                 raise ReadError(
                     block, "second member failure: single parity exhausted")
-            acc = _xor(acc, data)
+            acc = xor_bytes(acc, data)
         return acc
 
     def _write_logical(self, block: int, data: bytes) -> None:
@@ -956,7 +957,7 @@ class StripeParityDevice(ArrayDevice):
         old = self._member_read(dm, stripe, logical=block)
         old_parity = self._member_read(pm, stripe, logical=block)
         if old is not None and old_parity is not None:
-            new_parity: Optional[bytes] = _xor(_xor(old_parity, old), data)
+            new_parity: Optional[bytes] = xor_bytes(xor_bytes(old_parity, old), data)
         else:
             # Reconstruct-write: parity = new data XOR surviving peers.
             acc: Optional[bytes] = data
@@ -967,7 +968,7 @@ class StripeParityDevice(ArrayDevice):
                 if peer is None:
                     acc = None
                     break
-                acc = _xor(acc, peer)
+                acc = xor_bytes(acc, peer)
             new_parity = acc
         wrote_data = self._member_write(dm, stripe, data)
         wrote_parity = (new_parity is not None
@@ -996,7 +997,7 @@ class StripeParityDevice(ArrayDevice):
         for other in range(len(self.members)):
             if other == pm:
                 continue
-            acc = _xor(acc, self.members[other].disk.peek(stripe))
+            acc = xor_bytes(acc, self.members[other].disk.peek(stripe))
         self.members[pm].disk.poke(stripe, acc)
         self._suspect.discard((pm, stripe))
 
@@ -1011,7 +1012,7 @@ class StripeParityDevice(ArrayDevice):
                 continue
             if not self._trusted(other, stripe) and other != pm:
                 return self.members[dm].disk.peek(stripe)
-            acc = _xor(acc, self.members[other].disk.peek(stripe))
+            acc = xor_bytes(acc, self.members[other].disk.peek(stripe))
         return acc
 
     def _member_content(self, m: int, mb: int) -> Optional[bytes]:
@@ -1022,7 +1023,7 @@ class StripeParityDevice(ArrayDevice):
             data = self._member_read(other, mb, logical=None)
             if data is None:
                 return None
-            acc = _xor(acc, data)
+            acc = xor_bytes(acc, data)
         return acc
 
     def _scrub_unit(self, unit: int, report: ArrayScrubReport) -> None:
@@ -1047,7 +1048,7 @@ class StripeParityDevice(ArrayDevice):
             m = missing[0]
             acc = self._zero
             for data in contents.values():
-                acc = _xor(acc, data)
+                acc = xor_bytes(acc, data)
             if self._member_write(m, unit, acc):
                 report.repaired.append((m, unit))
                 self._emit(ArrayRecoveryEvent(
@@ -1058,7 +1059,7 @@ class StripeParityDevice(ArrayDevice):
             return
         acc = self._zero
         for data in contents.values():
-            acc = _xor(acc, data)
+            acc = xor_bytes(acc, data)
         if acc != self._zero:
             # Single parity detects the mismatch but cannot attribute it.
             pm = self._parity_member(unit)
@@ -1137,14 +1138,14 @@ class RDPDevice(ArrayDevice):
         if old is None:
             self._full_stripe_write(block, stripe, row, col, data)
             return
-        delta = _xor(old, data)
+        delta = xor_bytes(old, data)
         row_parity = self._member_read(self._row_parity, mb, logical=block)
         if row_parity is None:
             self._full_stripe_write(block, stripe, row, col, data)
             return
         updates: List[Tuple[int, int, bytes]] = [
             (col, mb, data),
-            (self._row_parity, mb, _xor(row_parity, delta)),
+            (self._row_parity, mb, xor_bytes(row_parity, delta)),
         ]
         base = stripe * self.rows
         for d in ((row + col) % self.p, (row + self._row_parity) % self.p):
@@ -1154,7 +1155,7 @@ class RDPDevice(ArrayDevice):
             if diag is None:
                 self._full_stripe_write(block, stripe, row, col, data)
                 return
-            updates.append((self._diag_parity, base + d, _xor(diag, delta)))
+            updates.append((self._diag_parity, base + d, xor_bytes(diag, delta)))
         landed = sum(1 for m, target, payload in updates
                      if self._member_write(m, target, payload))
         if landed == 0:
@@ -1204,7 +1205,7 @@ class RDPDevice(ArrayDevice):
         # inconsistency in its row/diagonals.
         acc = self._zero
         for c in range(self.rows):  # data columns 0..p-2
-            acc = _xor(acc, self.members[c].disk.peek(mb))
+            acc = xor_bytes(acc, self.members[c].disk.peek(mb))
         self.members[self._row_parity].disk.poke(mb, acc)
         self._suspect.discard((self._row_parity, mb))
         for d in ((row + col) % self.p, (row + self._row_parity) % self.p):
@@ -1214,7 +1215,7 @@ class RDPDevice(ArrayDevice):
             for c in range(self.p):  # data + row-parity columns
                 r = (d - c) % self.p
                 if r <= self.rows - 1:
-                    acc = _xor(acc, self.members[c].disk.peek(base + r))
+                    acc = xor_bytes(acc, self.members[c].disk.peek(base + r))
             self.members[self._diag_parity].disk.poke(base + d, acc)
             self._suspect.discard((self._diag_parity, base + d))
 
@@ -1311,7 +1312,7 @@ class RDPDevice(ArrayDevice):
         for r in range(rows):
             acc = zero
             for c in range(p):  # data + row parity
-                acc = _xor(acc, columns[c][r])
+                acc = xor_bytes(acc, columns[c][r])
             row_syndrome.append(acc)
         diag_syndrome: List[bytes] = []
         for d in range(rows):  # stored diagonals 0..p-2
@@ -1319,7 +1320,7 @@ class RDPDevice(ArrayDevice):
             for c in range(p):
                 r = (d - c) % p
                 if r <= rows - 1:
-                    acc = _xor(acc, columns[c][r])
+                    acc = xor_bytes(acc, columns[c][r])
             diag_syndrome.append(acc)
         bad_rows = [r for r in range(rows) if row_syndrome[r] != zero]
         bad_diags = [d for d in range(rows) if diag_syndrome[d] != zero]
@@ -1350,7 +1351,7 @@ class RDPDevice(ArrayDevice):
         report.corruptions.append((col, target))
         self._detect(col, target, "member-mismatch", mechanism="redundancy")
         current = columns[col][target - base]
-        if self._member_write(col, target, _xor(current, delta)):
+        if self._member_write(col, target, xor_bytes(current, delta)):
             report.repaired.append((col, target))
             self._emit(ArrayRecoveryEvent(
                 Severity.INFO, self._source(), "scrub-repair",

@@ -25,20 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings.
-
-    This is the inner loop of every parity and reconstruction
-    operation, so it runs as one wide integer XOR instead of a Python
-    byte loop (~2 orders of magnitude on 4 KiB blocks; equivalence is
-    pinned by a property test against the byte-by-byte form).
-    """
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("xor operands must have equal length")
-    return (int.from_bytes(a, "little")
-            ^ int.from_bytes(b, "little")).to_bytes(n, "little")
+from repro.common.xor import xor_bytes
 
 
 def is_prime(n: int) -> bool:
@@ -113,7 +100,7 @@ class RDPStripe:
         for r in range(self.rows):
             acc = bytes(bs)
             for c in range(self.data_columns):
-                acc = _xor(acc, columns[c][r])
+                acc = xor_bytes(acc, columns[c][r])
             row_parity.append(acc)
         columns.append(row_parity)
         # Diagonal parity across columns 0..p-1 (data + row parity).
@@ -123,7 +110,7 @@ class RDPStripe:
                 d = self.diagonal_of(r, c)
                 if d == p - 1:
                     continue  # the missing diagonal
-                diag[d] = _xor(diag[d], columns[c][r])
+                diag[d] = xor_bytes(diag[d], columns[c][r])
         columns.append(diag)
         return columns
 
@@ -171,7 +158,7 @@ class RDPStripe:
                     for c in range(p):
                         if c == other:
                             continue
-                        acc = _xor(acc, grid[(r, c)])  # type: ignore[arg-type]
+                        acc = xor_bytes(acc, grid[(r, c)])  # type: ignore[arg-type]
                     grid[(r, other)] = acc
             # ...then recompute diagonal parity from scratch.
             rebuilt = [[grid[(r, c)] for r in range(self.rows)] for c in range(self.data_columns)]
@@ -194,7 +181,7 @@ class RDPStripe:
                     for c in range(p):
                         if (r, c) == holes[0]:
                             continue
-                        acc = _xor(acc, grid[(r, c)])  # type: ignore[arg-type]
+                        acc = xor_bytes(acc, grid[(r, c)])  # type: ignore[arg-type]
                     grid[holes[0]] = acc
                     unknown.remove(holes[0])
                     progress = True
@@ -208,7 +195,7 @@ class RDPStripe:
                     for cell in cells:
                         if cell == holes[0]:
                             continue
-                        acc = _xor(acc, grid[cell])  # type: ignore[arg-type]
+                        acc = xor_bytes(acc, grid[cell])  # type: ignore[arg-type]
                     grid[holes[0]] = acc
                     unknown.remove(holes[0])
                     progress = True

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.xor import xor_bytes
 from repro.redundancy import make_array
-from repro.redundancy.rdp import _xor
 
 NUM_BLOCKS = 24
 BS = 512
@@ -100,15 +100,15 @@ class TestXor:
     def test_wide_xor_matches_bytewise(self, n, data):
         a = data.draw(st.binary(min_size=n, max_size=n))
         b = data.draw(st.binary(min_size=n, max_size=n))
-        assert _xor(a, b) == _xor_reference(a, b)
+        assert xor_bytes(a, b) == _xor_reference(a, b)
 
     @given(st.binary(min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)
     def test_xor_identities(self, a):
         zero = bytes(len(a))
-        assert _xor(a, a) == zero
-        assert _xor(a, zero) == a
+        assert xor_bytes(a, a) == zero
+        assert xor_bytes(a, zero) == a
 
     def test_xor_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            _xor(b"ab", b"abc")
+            xor_bytes(b"ab", b"abc")

@@ -1,7 +1,7 @@
 """Unit and property tests for the shared Bitmap structure."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.bitmap import Bitmap
 
@@ -142,3 +142,47 @@ def test_property_find_free_is_really_free(bits, start):
         assert free >= start
         assert not bmp.test(free)
         assert all(bmp.test(i) for i in range(start, free))
+
+
+def _ref_bit(raw, i):
+    return (raw[i >> 3] >> (i & 7)) & 1
+
+
+@st.composite
+def raw_bitmaps(draw):
+    """(nbits, raw, start): mostly-full bytes so the byte skip is hit,
+    padding bits past nbits drawn freely (often set), and a start at the
+    edges or anywhere in range."""
+    nbits = draw(st.integers(min_value=1, max_value=300))
+    nbytes = (nbits + 7) // 8
+    byte = st.one_of(st.just(0xFF), st.just(0xFF), st.integers(0, 255))
+    raw = bytes(draw(st.lists(byte, min_size=nbytes, max_size=nbytes)))
+    choice = draw(st.sampled_from(["zero", "random", "last", "nbits", "past"]))
+    start = {
+        "zero": 0,
+        "random": draw(st.integers(0, nbits - 1)),
+        "last": nbits - 1,
+        "nbits": nbits,
+        "past": nbits + 5,
+    }[choice]
+    return nbits, raw, start
+
+
+@settings(max_examples=500)
+@given(raw_bitmaps())
+def test_property_scans_match_bitwise_reference(case):
+    """find_free and count_set agree with a bit-by-bit walk of the raw
+    bytes, never returning or counting padding bits past nbits."""
+    nbits, raw, start = case
+    bmp = Bitmap(nbits, raw)
+    expected = next((i for i in range(start, nbits) if not _ref_bit(raw, i)), None)
+    assert bmp.find_free(start) == expected
+    assert bmp.count_set() == sum(_ref_bit(raw, i) for i in range(nbits))
+
+
+@pytest.mark.parametrize("start", [-1, -8, -300])
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+def test_find_free_negative_start_raises(start, fill):
+    bmp = Bitmap(16, bytes([fill, fill]))
+    with pytest.raises(IndexError):
+        bmp.find_free(start)
